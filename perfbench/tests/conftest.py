@@ -1,0 +1,16 @@
+"""Make ``perfbench`` and the program's ``repro`` package importable."""
+
+from __future__ import annotations
+
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
+
+from perfbench.common import pin_threads  # noqa: E402
+
+pin_threads(os.environ)
