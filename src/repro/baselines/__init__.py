@@ -1,8 +1,8 @@
 """Embedding-compression baselines from the paper's Related Work (§7).
 
 The paper positions TT-Rec against three families of embedding-table
-compression, each implemented here with the same EmbeddingBag interface so
-they slot into the DLRM unchanged:
+compression, each a :class:`~repro.ops.compressed.CompressedEmbedding`
+(registered in the compression zoo) so they slot into the DLRM unchanged:
 
 - :class:`~repro.baselines.hashing.HashedEmbeddingBag` — the feature
   hashing ("hashing trick") of Weinberger et al. 2009; collisions trade

@@ -13,17 +13,21 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.hashtable import splitmix64
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
 from repro.ops.embedding import EmbeddingBag
-from repro.ops.module import Module
-from repro.utils.dtypes import result_dtype
+from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
 
 __all__ = ["HashedEmbeddingBag"]
 
 
-class HashedEmbeddingBag(Module):
-    """EmbeddingBag over a hashed, smaller physical table.
+class HashedEmbeddingBag(CompressedEmbedding):
+    """EmbeddingBag over a hashed, smaller physical table — kind ``"hash"``.
 
     Parameters
     ----------
@@ -37,6 +41,8 @@ class HashedEmbeddingBag(Module):
         collisions cancel in expectation.
     """
 
+    kind = "hash"
+
     def __init__(self, num_rows: int, dim: int, num_buckets: int, *,
                  mode: str = "sum", signed: bool = False, salt: int = 0,
                  rng: int | None | np.random.Generator = None,
@@ -48,21 +54,36 @@ class HashedEmbeddingBag(Module):
                 f"num_buckets ({num_buckets}) exceeding num_rows ({num_rows}) "
                 "defeats the purpose of hashing"
             )
-        self.num_rows = num_rows
-        self.dim = dim
+        super().__init__(EmbeddingSpec(
+            "hash", num_rows, dim, mode=mode, name=name,
+            params={"num_buckets": num_buckets, "signed": signed,
+                    "salt": salt},
+        ))
         self.num_buckets = num_buckets
         self.signed = signed
         self.salt = salt
         self.table = EmbeddingBag(num_buckets, dim, mode=mode, rng=as_rng(rng),
                                   name=f"{name}.table")
-        self.mode = mode
+
+    @staticmethod
+    def _spec_buckets(spec: EmbeddingSpec) -> int:
+        return int(spec.get("num_buckets", max(1, spec.num_rows // 16)))
+
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "HashedEmbeddingBag":
+        """Knobs: ``num_buckets`` (default ``num_rows // 16``), ``signed``,
+        ``salt``."""
+        _check_known_params(spec, {"num_buckets", "signed", "salt"})
+        return cls(spec.num_rows, spec.dim, num_buckets=cls._spec_buckets(spec),
+                   signed=bool(spec.get("signed", False)),
+                   salt=int(spec.get("salt", 0)), mode=spec.mode,
+                   rng=spec.seed, name=spec.name or "hashed_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        return cls._spec_buckets(spec) * spec.dim * default_dtype().itemsize
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the physical table (follows the policy)."""
-        return self.table.weight.data.dtype
 
     def _hash(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         mixed = splitmix64(indices + np.int64(self.salt * 0x9E3779B9))
@@ -73,8 +94,7 @@ class HashedEmbeddingBag(Module):
                              ).astype(self.dtype)
         return buckets, signs
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
             offsets = np.arange(indices.size + 1, dtype=np.int64)
@@ -88,10 +108,7 @@ class HashedEmbeddingBag(Module):
             weights = w * signs
         return self.table.forward(buckets, offsets, weights)
 
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Delegate to the physical table (it owns the re-entrancy guard)."""
+    def _backward_impl(self, grad_out) -> None:
         self.table.backward(grad_out)
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
@@ -101,12 +118,6 @@ class HashedEmbeddingBag(Module):
         if signs is not None:
             rows = rows * signs[:, None]
         return rows
-
-    def num_parameters(self) -> int:
-        return self.num_buckets * self.dim
-
-    def compression_ratio(self) -> float:
-        return self.num_rows / self.num_buckets
 
     def collision_rate(self, sample: int = 100_000,
                        rng: int | None | np.random.Generator = None) -> float:

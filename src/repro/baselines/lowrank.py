@@ -11,18 +11,26 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
 from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
-from repro.utils.dtypes import result_dtype
+from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
 
 __all__ = ["LowRankEmbeddingBag"]
 
 
-class LowRankEmbeddingBag(Module):
-    """Pooled embedding lookup through a rank-``r`` factorization."""
+class LowRankEmbeddingBag(CompressedEmbedding):
+    """Pooled embedding lookup through a rank-``r`` factorization — kind
+    ``"lowrank"``."""
+
+    kind = "lowrank"
 
     def __init__(self, num_rows: int, dim: int, rank: int, *, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
@@ -33,13 +41,10 @@ class LowRankEmbeddingBag(Module):
             raise ValueError(
                 f"rank ({rank}) above dim ({dim}) stores more than the dense table"
             )
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(EmbeddingSpec("lowrank", num_rows, dim, mode=mode,
+                                       name=name, params={"rank": rank}))
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.rank = rank
-        self.mode = mode
         # Scale so W = A @ B matches the DLRM default Uniform(±1/sqrt(M))
         # variance: Var(W_ij) = rank * var_a * var_b = 1/(3M).
         entry_std = (1.0 / (3.0 * num_rows * rank)) ** 0.25
@@ -51,15 +56,22 @@ class LowRankEmbeddingBag(Module):
             rng.normal(0.0, entry_std, size=(rank, dim)), name=f"{name}.B"
         )
         self._cache: dict | None = None
-        self._did_backward = False
 
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the factors (follows the policy at build time)."""
-        return self.factor_a.data.dtype
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "LowRankEmbeddingBag":
+        """Knob: ``rank`` (default 2)."""
+        _check_known_params(spec, {"rank"})
+        return cls(spec.num_rows, spec.dim, rank=int(spec.get("rank", 2)),
+                   mode=spec.mode, rng=spec.seed,
+                   name=spec.name or "lowrank_emb")
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        rank = int(spec.get("rank", 2))
+        params = spec.num_rows * rank + rank * spec.dim
+        return params * default_dtype().itemsize
+
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
             offsets = np.arange(indices.size + 1, dtype=np.int64)
@@ -84,24 +96,10 @@ class LowRankEmbeddingBag(Module):
             "indices": indices, "offsets": offsets, "alpha": alpha,
             "counts": counts, "pooled_a": pooled_a,
         }
-        self._did_backward = False
         return out
 
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate factor gradients; consumes the forward cache.
-
-        A second ``backward`` for the same forward raises instead of
-        silently double-accumulating (shared zoo contract).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; factor gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
+    def _backward_impl(self, grad_out) -> None:
+        """Accumulate factor gradients; consumes the forward cache."""
         c = self._cache
         grad_out = np.asarray(grad_out, dtype=self.dtype)
         # dB = pooled_a^T dO
@@ -120,7 +118,6 @@ class LowRankEmbeddingBag(Module):
         scatter_add_rows(self.factor_a.grad, c["indices"], grad_rows)
         self.factor_a.record_touched(c["indices"])
         self._cache = None
-        self._did_backward = True
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
@@ -129,9 +126,3 @@ class LowRankEmbeddingBag(Module):
     def materialize(self) -> np.ndarray:
         """Dense ``num_rows x dim`` table (analysis only)."""
         return self.factor_a.data @ self.factor_b.data
-
-    def num_parameters(self) -> int:
-        return self.factor_a.size + self.factor_b.size
-
-    def compression_ratio(self) -> float:
-        return (self.num_rows * self.dim) / self.num_parameters()

@@ -12,9 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.embedding import segment_sum
-from repro.ops.module import Module
-from repro.utils.dtypes import result_dtype
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
+from repro.ops.embedding import EmbeddingBag, segment_sum
+from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.validation import check_csr
 
 __all__ = ["quantize_rows", "dequantize_rows", "QuantizedEmbeddingBag"]
@@ -54,28 +58,29 @@ def dequantize_rows(codes: np.ndarray, scales: np.ndarray,
     return codes.astype(dt) * scales[:, None] + zero_points[:, None]
 
 
-class QuantizedEmbeddingBag(Module):
-    """Inference-only EmbeddingBag over a quantized table.
+class QuantizedEmbeddingBag(CompressedEmbedding):
+    """Inference-only EmbeddingBag over a quantized table — kind ``"quant"``.
 
     Construct from a trained dense table (``from_dense``) — matching the
     post-training workflow of the cited scheme.
     """
 
+    kind = "quant"
+    supports_gradient = False
+
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
                  zero_points: np.ndarray, bits: int, *, mode: str = "sum"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
         if codes.ndim != 2:
             raise ValueError(f"codes must be 2-D, got {codes.shape}")
         if scales.shape != (codes.shape[0],) or zero_points.shape != (codes.shape[0],):
             raise ValueError("scales/zero_points must be per-row vectors")
+        super().__init__(EmbeddingSpec("quant", *codes.shape, mode=mode,
+                                       params={"bits": bits}))
         dt = result_dtype(np.asarray(scales), np.asarray(zero_points))
         self.codes = codes
         self.scales = np.asarray(scales, dtype=dt)
         self.zero_points = np.asarray(zero_points, dtype=dt)
         self.bits = bits
-        self.mode = mode
-        self.num_rows, self.dim = codes.shape
 
     @classmethod
     def from_dense(cls, table: np.ndarray, *, bits: int = 4,
@@ -83,14 +88,48 @@ class QuantizedEmbeddingBag(Module):
         codes, scales, zero_points = quantize_rows(table, bits)
         return cls(codes, scales, zero_points, bits, mode=mode)
 
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "QuantizedEmbeddingBag":
+        """Knob: ``bits`` (default 4). Quantizes a *fresh* dense table —
+        only meaningful for memory/latency benchmarking, never for
+        accuracy; quantize a trained table with :meth:`from_dense`."""
+        _check_known_params(spec, {"bits"})
+        table = EmbeddingBag(spec.num_rows, spec.dim, rng=spec.seed).weight.data
+        return cls.from_dense(table, bits=int(spec.get("bits", 4)),
+                              mode=spec.mode)
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        bits = int(spec.get("bits", 4))
+        code_itemsize = 1 if bits <= 8 else 2
+        codes = spec.num_rows * spec.dim * code_itemsize
+        side = 2 * spec.num_rows * default_dtype().itemsize
+        return codes + side
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.scales.dtype
+
+    def _extra_arrays(self) -> list[np.ndarray]:
+        return [self.codes, self.scales, self.zero_points]
+
+    def extra_state(self) -> dict[str, np.ndarray]:
+        return {"codes": self.codes, "scales": self.scales,
+                "zero_points": self.zero_points}
+
+    def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
+        self.codes = np.asarray(state["codes"], dtype=self.codes.dtype)
+        self.scales = np.asarray(state["scales"], dtype=self.scales.dtype)
+        self.zero_points = np.asarray(state["zero_points"],
+                                      dtype=self.zero_points.dtype)
+
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         return dequantize_rows(
             self.codes[indices], self.scales[indices], self.zero_points[indices]
         )
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
             offsets = np.arange(indices.size + 1, dtype=np.int64)
@@ -107,15 +146,6 @@ class QuantizedEmbeddingBag(Module):
             scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
             out = out / scale[:, None]
         return out
-
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        raise NotImplementedError(
-            "QuantizedEmbeddingBag is inference-only (post-training "
-            "quantization, Guan et al. 2019); train a dense or TT table and "
-            "quantize it with from_dense()"
-        )
 
     def num_parameters(self) -> int:
         """Effective fp32-equivalent parameter count (for fair comparison).

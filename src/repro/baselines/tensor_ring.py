@@ -23,10 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
 from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Parameter
 from repro.tt.kernels import scatter_add_rows
-from repro.utils.dtypes import result_dtype
+from repro.utils.dtypes import default_dtype, result_dtype
 from repro.utils.factorization import factorize_into, suggested_tt_shapes
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
@@ -113,15 +118,15 @@ class TRShape:
         return out
 
 
-class TREmbeddingBag(Module):
-    """Bag-pooled embedding lookup backed by Tensor-Ring cores."""
+class TREmbeddingBag(CompressedEmbedding):
+    """Bag-pooled embedding lookup backed by Tensor-Ring cores — kind ``"tr"``."""
+
+    kind = "tr"
 
     def __init__(self, num_rows: int, dim: int, *, shape: TRShape | None = None,
                  rank: int = 8, d: int = 3, mode: str = "sum",
                  rng: int | None | np.random.Generator = None,
                  name: str = "tr_emb"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
         if shape is None:
             shape = TRShape.suggested(num_rows, dim, d=d, rank=rank)
         if shape.num_rows != num_rows or shape.dim != dim:
@@ -129,11 +134,13 @@ class TREmbeddingBag(Module):
                 f"shape describes a {shape.num_rows}x{shape.dim} table, "
                 f"expected {num_rows}x{dim}"
             )
+        # A hand-built ``shape`` is recorded by its depth and largest rank.
+        super().__init__(EmbeddingSpec(
+            "tr", num_rows, dim, mode=mode, name=name,
+            params={"rank": max(shape.ranks), "d": shape.d},
+        ))
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.shape = shape
-        self.mode = mode
         # Variance-matched init: each entry is a sum over R0 * prod(R_k)
         # ring paths of d-fold products; match N(0, 1/3n) like TT (§3.2).
         paths = float(np.prod(shape.ranks[:-1]))  # R0 * R1 * ... * R_{d-1}
@@ -145,14 +152,23 @@ class TREmbeddingBag(Module):
             for k in range(shape.d)
         ]
         self._cache: dict | None = None
-        self._did_backward = False
+
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "TREmbeddingBag":
+        """Knobs: ``rank`` (default 4), ``d``."""
+        _check_known_params(spec, {"rank", "d"})
+        return cls(spec.num_rows, spec.dim, rank=int(spec.get("rank", 4)),
+                   d=int(spec.get("d", 3)), mode=spec.mode, rng=spec.seed,
+                   name=spec.name or "tr_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        shape = TRShape.suggested(spec.num_rows, spec.dim,
+                                  d=int(spec.get("d", 3)),
+                                  rank=int(spec.get("rank", 4)))
+        return shape.num_params() * default_dtype().itemsize
 
     # ------------------------------------------------------------------ #
-
-    @property
-    def dtype(self) -> np.dtype:
-        """Floating dtype of the cores (follows the policy at build time)."""
-        return self.cores[0].data.dtype
 
     def _row_chain(self, decoded: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Ring chain; returns ``(rows, lefts)``.
@@ -189,8 +205,7 @@ class TREmbeddingBag(Module):
         """Dense table from the ring cores (analysis/tests only)."""
         return self.lookup(np.arange(self.num_rows, dtype=np.int64))
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
             offsets = np.arange(indices.size + 1, dtype=np.int64)
@@ -206,7 +221,6 @@ class TREmbeddingBag(Module):
                 "decoded": np.empty((self.shape.d, 0), dtype=np.int64),
                 "lefts": [], "alpha": alpha, "counts": np.diff(offsets),
             }
-            self._did_backward = False
             return np.zeros((offsets.size - 1, self.dim), dtype=self.dtype)
         decoded = self.shape.decode_indices(indices)
         rows, lefts = self._row_chain(decoded)
@@ -218,24 +232,10 @@ class TREmbeddingBag(Module):
             out = out / scale[:, None]
         self._cache = {"decoded": decoded, "lefts": lefts, "alpha": alpha,
                        "counts": counts}
-        self._did_backward = False
         return out
 
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate core gradients; consumes the forward cache.
-
-        A second ``backward`` for the same forward raises instead of
-        silently double-accumulating (shared zoo contract).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; core gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
+    def _backward_impl(self, grad_out) -> None:
+        """Accumulate core gradients; consumes the forward cache."""
         c = self._cache
         grad_out = np.asarray(grad_out, dtype=self.dtype)
         counts = c["counts"]
@@ -249,7 +249,6 @@ class TREmbeddingBag(Module):
             grad_rows = grad_rows * c["alpha"][:, None]
         self._accumulate_core_grads(c["decoded"], grad_rows, c["lefts"])
         self._cache = None
-        self._did_backward = True
 
     def _accumulate_core_grads(self, decoded: np.ndarray, grad_rows: np.ndarray,
                                lefts: list[np.ndarray]) -> None:
@@ -285,11 +284,3 @@ class TREmbeddingBag(Module):
                 )
                 right = flat.reshape(n, r_prev, nk * q, r0)
                 q *= nk
-
-    # ------------------------------------------------------------------ #
-
-    def num_parameters(self) -> int:
-        return self.shape.num_params()
-
-    def compression_ratio(self) -> float:
-        return self.shape.compression_ratio()

@@ -22,12 +22,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cache.lfu import LFUTracker
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
 from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Parameter
 from repro.telemetry import emit_event, get_registry, trace
 from repro.tt.embedding_bag import TTEmbeddingBag
 from repro.tt.kernels import scatter_add_rows
 from repro.tt.shapes import TTShape
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
 
@@ -39,8 +45,9 @@ __all__ = ["CachedTTEmbeddingBag"]
 _INSTANCE_SEQ = 0
 
 
-class CachedTTEmbeddingBag(Module):
-    """TT-compressed embedding bag with an uncompressed hot-row cache.
+class CachedTTEmbeddingBag(CompressedEmbedding):
+    """TT-compressed embedding bag with an uncompressed hot-row cache —
+    kind ``"cached_tt"``.
 
     Parameters
     ----------
@@ -83,6 +90,8 @@ class CachedTTEmbeddingBag(Module):
         ``r2l``/``split:k``).
     """
 
+    kind = "cached_tt"
+
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
                  initializer="sampled_gaussian",
@@ -99,9 +108,6 @@ class CachedTTEmbeddingBag(Module):
             name=f"{name}.tt",
         )
         self.dedup = bool(dedup)
-        self.num_rows = num_rows
-        self.dim = dim
-        self.mode = mode
         if cache_size is None:
             if cache_fraction is None:
                 cache_fraction = 1e-4  # the paper's 0.01%
@@ -111,6 +117,10 @@ class CachedTTEmbeddingBag(Module):
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.cache_size = min(cache_size, num_rows)
+        super().__init__(EmbeddingSpec(
+            "cached_tt", num_rows, dim, mode=mode, name=name,
+            params={**self.tt.spec.params, "cache_size": self.cache_size},
+        ))
         if warmup_steps < 0:
             raise ValueError(f"warmup_steps must be >= 0, got {warmup_steps}")
         if refresh_interval is not None and refresh_interval < 1:
@@ -132,7 +142,6 @@ class CachedTTEmbeddingBag(Module):
         self._steps = 0
         self._populated = False
         self._cache: dict | None = None
-        self._did_backward = False
         self.injector = injector
         # Read validation (ECC / row-checksum stand-in): verify served
         # cache rows are finite and refill poisoned ones from the TT
@@ -151,6 +160,45 @@ class CachedTTEmbeddingBag(Module):
             for key in ("lookups", "hits", "misses", "repairs",
                         "insertions", "evictions", "refreshes")
         }
+
+    @staticmethod
+    def _spec_cache_size(spec: EmbeddingSpec) -> int:
+        # The paper's 0.01% default, resolved from the spec (not inside
+        # the constructor) so predict_memory_bytes sees the same number
+        # the instance gets.
+        size = spec.get("cache_size")
+        if size is None:
+            size = max(1, int(round(spec.num_rows * 1e-4)))
+        return min(int(size), spec.num_rows)
+
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "CachedTTEmbeddingBag":
+        """Knobs: ``rank`` (default 8), ``d``, ``initializer``,
+        ``cache_size``, ``warmup_steps``, ``refresh_interval``, ``policy``,
+        ``eviction``, ``dedup``, ``plan_policy``."""
+        _check_known_params(spec, {"rank", "d", "initializer", "cache_size",
+                                   "warmup_steps", "refresh_interval",
+                                   "policy", "eviction", "dedup",
+                                   "plan_policy"})
+        return cls(
+            spec.num_rows, spec.dim, rank=int(spec.get("rank", 8)),
+            d=int(spec.get("d", 3)),
+            initializer=spec.get("initializer", "sampled_gaussian"),
+            cache_size=cls._spec_cache_size(spec),
+            warmup_steps=int(spec.get("warmup_steps", 100)),
+            refresh_interval=spec.get("refresh_interval", 1000),
+            policy=spec.get("policy", "lfu"),
+            eviction=spec.get("eviction", "discard"),
+            dedup=bool(spec.get("dedup", True)),
+            plan_policy=spec.get("plan_policy", "auto"),
+            mode=spec.mode, rng=spec.seed, name=spec.name or "cached_tt_emb",
+        )
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        cache = cls._spec_cache_size(spec) * spec.dim
+        return (TTEmbeddingBag.predict_memory_bytes(spec)
+                + cache * default_dtype().itemsize)
 
     # ------------------------------------------------------------------ #
     # Cache management
@@ -284,8 +332,7 @@ class CachedTTEmbeddingBag(Module):
     # Forward / backward
     # ------------------------------------------------------------------ #
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
             offsets = np.arange(indices.size + 1, dtype=np.int64)
@@ -357,20 +404,9 @@ class CachedTTEmbeddingBag(Module):
             "lefts": lefts if self.tt.store_intermediates else None,
             "alpha": alpha, "counts": counts,
         }
-        self._did_backward = False
         return out
 
-    __call__ = forward
-
-    def backward(self, grad_out: np.ndarray) -> None:
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; cache-row and "
-                    "core gradients would double-accumulate — run forward "
-                    "again first"
-                )
-            raise RuntimeError("backward called before forward")
+    def _backward_impl(self, grad_out) -> None:
         c = self._cache
         grad_out = np.asarray(grad_out, dtype=self.cache_rows.data.dtype)
         counts = c["counts"]
@@ -402,7 +438,6 @@ class CachedTTEmbeddingBag(Module):
                 _, lefts = self.tt._row_chain(c["decoded"])
             self.tt._accumulate_core_grads(c["decoded"], tt_grad, lefts)
         self._cache = None
-        self._did_backward = True
 
     # ------------------------------------------------------------------ #
 
@@ -441,11 +476,11 @@ class CachedTTEmbeddingBag(Module):
         return int(bad.sum())
 
     # ------------------------------------------------------------------ #
-    # Checkpointable non-parameter state (see repro.reliability.checkpoint)
+    # Non-parameter state (checkpoints and state_dict)
     # ------------------------------------------------------------------ #
 
     def extra_state(self) -> dict:
-        """Cache bookkeeping a checkpoint must carry beyond parameters.
+        """Cache bookkeeping a snapshot must carry beyond parameters.
 
         Every registry counter is persisted: dropping any of them breaks
         the ``lookups == hits + misses`` invariant after resume.
@@ -476,11 +511,4 @@ class CachedTTEmbeddingBag(Module):
             for key, value in state.items() if key.startswith("tracker.")
         })
         self._cache = None
-        self._did_backward = False
-
-    def num_parameters(self) -> int:
-        """TT params + cache rows (the cache counts toward the budget)."""
-        return self.tt.num_parameters() + self.cache_rows.size
-
-    def compression_ratio(self) -> float:
-        return (self.num_rows * self.dim) / self.num_parameters()
+        self._ready = False

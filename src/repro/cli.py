@@ -404,6 +404,12 @@ def _cmd_train(args) -> int:
     from repro.models import DLRMConfig, TTConfig, build_dlrm, build_ttrec
     from repro.training import Trainer
 
+    if not args.checkpoint_dir and (args.checkpoint_every is not None
+                                    or args.resume):
+        print("error: --checkpoint-every and --resume require --checkpoint-dir")
+        return 2
+    if args.checkpoint_every is None:
+        args.checkpoint_every = 50
     if args.elastic:
         return _cmd_train_elastic(args)
     if args.kill_worker:
@@ -1173,8 +1179,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-dir", default=None,
                    help="directory for periodic checkpoints (per model)")
-    p.add_argument("--checkpoint-every", type=int, default=50,
-                   help="iterations between checkpoints")
+    p.add_argument("--checkpoint-every", type=int, default=None,
+                   help="iterations between checkpoints (default 50; needs "
+                        "--checkpoint-dir)")
     p.add_argument("--resume", action="store_true",
                    help="resume each model from its latest checkpoint")
     p.add_argument("--emit-json", default=None, metavar="PATH",

@@ -1,7 +1,9 @@
 """Compression zoo: one interface over every embedding compressor.
 
-Importing this package registers all built-in compressors, so
-``make_embedding(spec)`` can build any of them:
+Every operator below is itself a
+:class:`~repro.ops.compressed.CompressedEmbedding`. Importing this package
+registers each one under its kind, so ``make_embedding(spec)`` can build
+any of them:
 
 =============  ==========================================================
 kind           operator
@@ -22,27 +24,21 @@ See ``docs/COMPRESSION.md`` for the full zoo table and
 per table under a global byte budget.
 """
 
+from repro.baselines import (
+    HashedEmbeddingBag,
+    LowRankEmbeddingBag,
+    QuantizedEmbeddingBag,
+    TREmbeddingBag,
+)
+from repro.cache.cached_embedding import CachedTTEmbeddingBag
+from repro.compress.alpt import ALPTEmbeddingBag
 from repro.compress.base import (
-    CompressedEmbedding,
-    EmbeddingSpec,
-    as_spec,
     compressor_class,
     make_embedding,
     predict_memory_bytes,
     register_compressor,
     registered_kinds,
 )
-from repro.compress import adapters as _adapters  # noqa: F401  (registers kinds)
-from repro.compress.adapters import (
-    CachedTTEmbedding,
-    DenseEmbedding,
-    HashedEmbedding,
-    LowRankEmbedding,
-    QuantizedEmbedding,
-    TREmbedding,
-    TTEmbedding,
-)
-from repro.compress.alpt import ALPTEmbeddingBag
 from repro.compress.dpq import DPQEmbeddingBag
 from repro.compress.planner import (
     BUDGET_PLAN_SCHEMA,
@@ -52,6 +48,14 @@ from repro.compress.planner import (
     TableStats,
     load_budget_plan,
 )
+from repro.ops.compressed import CompressedEmbedding, EmbeddingSpec, as_spec
+from repro.ops.embedding import EmbeddingBag
+from repro.tt.embedding_bag import TTEmbeddingBag
+
+for _operator in (EmbeddingBag, TTEmbeddingBag, CachedTTEmbeddingBag,
+                  TREmbeddingBag, HashedEmbeddingBag, LowRankEmbeddingBag,
+                  QuantizedEmbeddingBag, DPQEmbeddingBag, ALPTEmbeddingBag):
+    register_compressor(_operator)
 
 __all__ = [
     "CompressedEmbedding",
@@ -62,13 +66,6 @@ __all__ = [
     "predict_memory_bytes",
     "register_compressor",
     "registered_kinds",
-    "DenseEmbedding",
-    "TTEmbedding",
-    "CachedTTEmbedding",
-    "TREmbedding",
-    "HashedEmbedding",
-    "LowRankEmbedding",
-    "QuantizedEmbedding",
     "DPQEmbeddingBag",
     "ALPTEmbeddingBag",
     "BUDGET_PLAN_SCHEMA",

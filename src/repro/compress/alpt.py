@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compress.base import (
+from repro.ops.compressed import (
     CompressedEmbedding,
     EmbeddingSpec,
     _check_known_params,
-    register_compressor,
 )
 from repro.ops.embedding import segment_sum
 from repro.ops.module import Parameter
@@ -37,7 +36,6 @@ from repro.utils.validation import check_csr
 __all__ = ["ALPTEmbeddingBag"]
 
 
-@register_compressor
 class ALPTEmbeddingBag(CompressedEmbedding):
     """Integer-code table with learned per-row scales.
 
@@ -148,10 +146,10 @@ class ALPTEmbeddingBag(CompressedEmbedding):
     def _extra_arrays(self) -> list[np.ndarray]:
         return [self.codes]
 
-    def _extra_state(self) -> dict[str, np.ndarray]:
+    def extra_state(self) -> dict[str, np.ndarray]:
         return {"codes": self.codes}
 
-    def _load_extra_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
         self.codes = np.asarray(state["codes"], dtype=self.codes.dtype
                                 ).reshape(self.num_rows, self.dim)
 

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compress.base import (
+from repro.ops.compressed import (
     CompressedEmbedding,
     EmbeddingSpec,
     _check_known_params,
-    register_compressor,
 )
 from repro.ops.embedding import segment_sum
 from repro.ops.module import Parameter
@@ -39,7 +38,6 @@ def _code_dtype(codebook_size: int) -> np.dtype:
     return np.dtype(np.uint8 if codebook_size <= 256 else np.uint16)
 
 
-@register_compressor
 class DPQEmbeddingBag(CompressedEmbedding):
     """Product-quantization embedding with straight-through gradients.
 
@@ -204,10 +202,10 @@ class DPQEmbeddingBag(CompressedEmbedding):
     def _extra_arrays(self) -> list[np.ndarray]:
         return [self.codes]
 
-    def _extra_state(self) -> dict[str, np.ndarray]:
+    def extra_state(self) -> dict[str, np.ndarray]:
         return {"codes": self.codes}
 
-    def _load_extra_state(self, state: dict[str, np.ndarray]) -> None:
+    def load_extra_state(self, state: dict[str, np.ndarray]) -> None:
         self.codes = np.asarray(state["codes"], dtype=self.codes.dtype
                                 ).reshape(self.num_rows, self.num_subspaces)
 

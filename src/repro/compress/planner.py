@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.compress.base import EmbeddingSpec, predict_memory_bytes
+from repro.compress.base import predict_memory_bytes
 from repro.data.zipf import ZipfSampler
+from repro.ops.compressed import EmbeddingSpec
 from repro.utils.dtypes import default_dtype
 
 __all__ = [

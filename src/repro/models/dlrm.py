@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.models.config import DLRMConfig
+from repro.ops.compressed import CompressedEmbedding
 from repro.ops.interaction import CatInteraction, DotInteraction
 from repro.ops.mlp import MLP
 from repro.ops.module import Module
@@ -28,9 +29,8 @@ class DLRM(Module):
     config:
         Architecture description (table sizes, tower widths, interaction).
     embeddings:
-        One embedding operator per categorical feature; each must expose
-        ``forward(indices, offsets, per_sample_weights) -> (B, emb_dim)``,
-        ``backward(grad)`` and behave as a :class:`~repro.ops.module.Module`.
+        One :class:`~repro.ops.compressed.CompressedEmbedding` per
+        categorical feature (any zoo member), pooling to ``(B, emb_dim)``.
     """
 
     def __init__(self, config: DLRMConfig, embeddings: list,
@@ -39,6 +39,12 @@ class DLRM(Module):
             raise ValueError(
                 f"expected {config.num_tables} embedding operators, got {len(embeddings)}"
             )
+        for t, emb in enumerate(embeddings):
+            if not isinstance(emb, CompressedEmbedding):
+                raise TypeError(
+                    f"embedding {t} is a {type(emb).__name__}, not a "
+                    "CompressedEmbedding"
+                )
         rng = as_rng(rng)
         self.config = config
         self.bottom_mlp = MLP(config.bottom_sizes(), rng=rng, name="bottom")

@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ops.module import Module, Parameter
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
+from repro.ops.module import Parameter
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_1d_int_array, check_csr
 
@@ -31,8 +37,9 @@ def segment_sum(rows: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return cs[offsets[1:]] - cs[offsets[:-1]]
 
 
-class EmbeddingBag(Module):
-    """Uncompressed embedding table with bag pooling.
+class EmbeddingBag(CompressedEmbedding):
+    """Uncompressed embedding table with bag pooling — kind ``"dense"``,
+    the zoo's reference point (ratio 1.0).
 
     Parameters
     ----------
@@ -49,17 +56,14 @@ class EmbeddingBag(Module):
     alternatives parameterized by the same ``n``.
     """
 
+    kind = "dense"
+
     def __init__(self, num_rows: int, dim: int, *, mode: str = "sum",
                  initializer=None, rng: int | None | np.random.Generator = None,
                  name: str = "emb"):
-        if num_rows <= 0 or dim <= 0:
-            raise ValueError(f"num_rows and dim must be positive, got {num_rows}, {dim}")
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
+        super().__init__(EmbeddingSpec("dense", num_rows, dim, mode=mode,
+                                       name=name))
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
-        self.mode = mode
         if initializer is None:
             bound = 1.0 / np.sqrt(num_rows)
             data = rng.uniform(-bound, bound, size=(num_rows, dim))
@@ -67,10 +71,21 @@ class EmbeddingBag(Module):
             data = initializer(rng, (num_rows, dim))
         self.weight = Parameter(data, name=f"{name}.weight", sparse=True)
         self._cache: tuple | None = None
-        self._did_backward = False
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "EmbeddingBag":
+        _check_known_params(spec, set())
+        return cls(spec.num_rows, spec.dim, mode=spec.mode, rng=spec.seed,
+                   name=spec.name or "dense_emb")
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        return spec.num_rows * spec.dim * default_dtype().itemsize
+
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
+        indices = np.asarray(indices)
+        if offsets is None:
+            offsets = np.arange(indices.size + 1, dtype=np.int64)
         indices, offsets = check_csr(indices, offsets, self.num_rows)
         rows = self.weight.data[indices]
         if per_sample_weights is not None:
@@ -89,24 +104,10 @@ class EmbeddingBag(Module):
             scale = np.asarray(np.where(counts > 0, counts, 1), dtype=out.dtype)
             out = out / scale[:, None]
         self._cache = (indices, offsets, alpha, counts)
-        self._did_backward = False
         return out
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate grads into ``weight.grad``; bags carry no input grad.
-
-        Consumes the forward cache: a second ``backward`` for the same
-        forward would silently double-accumulate gradients, so it raises
-        instead (the contract every zoo member shares — see
-        ``repro.compress.base.CompressedEmbedding``).
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; table gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
+    def _backward_impl(self, grad_out) -> None:
+        """Accumulate grads into ``weight.grad``; bags carry no input grad."""
         indices, offsets, alpha, counts = self._cache
         grad_out = np.asarray(grad_out, dtype=self.weight.data.dtype)
         if self.mode == "mean":
@@ -121,9 +122,6 @@ class EmbeddingBag(Module):
         np.add.at(self.weight.grad, indices, grad_rows)
         self.weight.record_touched(indices)
         self._cache = None
-        self._did_backward = True
-
-    __call__ = forward
 
     def lookup(self, indices: np.ndarray) -> np.ndarray:
         """Plain (non-pooled) row gather; used by caches and tests.

@@ -209,12 +209,8 @@ def frequency_prior_row(emb, dim: int) -> np.ndarray:
         ids = np.arange(min(_PRIOR_SAMPLE_ROWS, num_rows), dtype=np.int64)
         weights = np.ones(ids.size)
     # lookup() materialises rows without touching trackers or backward
-    # caches; operators lacking it fall back to single-index-bag forward.
-    lookup = getattr(emb, "lookup", None)
-    if lookup is not None:
-        rows = lookup(ids)
-    else:
-        rows = emb.forward(ids, np.arange(ids.size + 1, dtype=np.int64))
+    # caches.
+    rows = emb.lookup(ids)
     rows = np.nan_to_num(rows, nan=0.0, posinf=0.0, neginf=0.0)
     row = (rows * weights[:, None]).sum(axis=0) / weights.sum()
     if not np.isfinite(row).all():  # pragma: no cover - belt and braces
@@ -292,9 +288,8 @@ class InferenceServer:
             # directly, bypassing a poisoned uncompressed cache.
             rungs.append(Rung("tt_direct", tt.forward,
                               self._breaker(table, "tt_direct")))
-        mode = getattr(emb, "mode", "sum")
         default_row = frequency_prior_row(emb, self.predictor.config.emb_dim)
-        return TableLadder(table, rungs, default_row, mode,
+        return TableLadder(table, rungs, default_row, emb.mode,
                            scrub=getattr(emb, "scrub", None),
                            injector=self.injector)
 

@@ -140,8 +140,7 @@ class ShardRouter:
             frequency_prior_row(emb, cfg.emb_dim)
             for emb in predictor.embeddings
         ]
-        self.modes = [getattr(emb, "mode", "sum")
-                      for emb in predictor.embeddings]
+        self.modes = [emb.mode for emb in predictor.embeddings]
         self.workers = [
             ShardWorker(
                 s, self.plan.slices_of(s), predictor.embeddings,
@@ -208,12 +207,7 @@ class ShardRouter:
         return merged[: self.shard_config.hot_rows]
 
     def _lookup_fn(self, table: int):
-        emb = self.predictor.embeddings[table]
-        lookup = getattr(emb, "lookup", None)
-        if lookup is not None:
-            return lookup
-        return lambda ids: emb.forward(  # pragma: no cover - all ops have it
-            ids, np.arange(ids.size + 1, dtype=np.int64))
+        return self.predictor.embeddings[table].lookup
 
     def _warm_replicas_initial(self) -> None:
         for sl in self.plan.slices:

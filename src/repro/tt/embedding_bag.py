@@ -23,22 +23,28 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.ops.compressed import (
+    CompressedEmbedding,
+    EmbeddingSpec,
+    _check_known_params,
+)
 from repro.ops.embedding import segment_sum
-from repro.ops.module import Module, Parameter
+from repro.ops.module import Parameter
 from repro.telemetry import trace
 from repro.tt.decomposition import tt_reconstruct
 from repro.tt.initialization import tt_core_initializer
 from repro.tt.kernels import scatter_add_rows
 from repro.tt.planner import ExecutionPlanner
 from repro.tt.shapes import TTShape
+from repro.utils.dtypes import default_dtype
 from repro.utils.seeding import as_rng
 from repro.utils.validation import check_csr
 
 __all__ = ["TTEmbeddingBag"]
 
 
-class TTEmbeddingBag(Module):
-    """Bag-pooled embedding lookup backed by TT cores.
+class TTEmbeddingBag(CompressedEmbedding):
+    """Bag-pooled embedding lookup backed by TT cores — kind ``"tt"``.
 
     Parameters
     ----------
@@ -73,14 +79,14 @@ class TTEmbeddingBag(Module):
         partials for Algorithm 2 always run ``l2r`` (see planner docs).
     """
 
+    kind = "tt"
+
     def __init__(self, num_rows: int, dim: int, *, shape: TTShape | None = None,
                  rank: int = 32, d: int = 3, mode: str = "sum",
                  initializer="sampled_gaussian",
                  rng: int | None | np.random.Generator = None,
                  store_intermediates: bool = True, dedup: bool = False,
                  plan_policy: str = "auto", name: str = "tt_emb"):
-        if mode not in ("sum", "mean"):
-            raise ValueError(f"mode must be 'sum' or 'mean', got {mode!r}")
         if shape is None:
             shape = TTShape.suggested(num_rows, dim, d=d, rank=rank)
         if shape.num_rows != num_rows or shape.dim != dim:
@@ -88,11 +94,13 @@ class TTEmbeddingBag(Module):
                 f"shape describes a {shape.num_rows}x{shape.dim} table, "
                 f"expected {num_rows}x{dim}"
             )
+        # A hand-built ``shape`` is recorded by its depth and largest rank.
+        super().__init__(EmbeddingSpec(
+            "tt", num_rows, dim, mode=mode, name=name,
+            params={"rank": max(shape.ranks), "d": shape.d},
+        ))
         rng = as_rng(rng)
-        self.num_rows = num_rows
-        self.dim = dim
         self.shape = shape
-        self.mode = mode
         self.store_intermediates = store_intermediates
         self.dedup = dedup
         if callable(initializer):
@@ -113,12 +121,28 @@ class TTEmbeddingBag(Module):
             shape, plan_policy, itemsize=self.cores[0].data.dtype.itemsize
         )
         self._cache: dict | None = None
-        self._did_backward = False
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The single floating dtype of the cores (and every output)."""
-        return self.cores[0].data.dtype
+    @classmethod
+    def from_spec(cls, spec: EmbeddingSpec) -> "TTEmbeddingBag":
+        """Knobs: ``rank`` (default 8), ``d``, ``initializer``, ``dedup``,
+        ``plan_policy``."""
+        _check_known_params(spec, {"rank", "d", "initializer", "dedup",
+                                   "plan_policy"})
+        return cls(
+            spec.num_rows, spec.dim, rank=int(spec.get("rank", 8)),
+            d=int(spec.get("d", 3)),
+            initializer=spec.get("initializer", "sampled_gaussian"),
+            dedup=bool(spec.get("dedup", False)),
+            plan_policy=spec.get("plan_policy", "auto"),
+            mode=spec.mode, rng=spec.seed, name=spec.name or "tt_emb",
+        )
+
+    @classmethod
+    def predict_memory_bytes(cls, spec: EmbeddingSpec) -> int:
+        shape = TTShape.suggested(spec.num_rows, spec.dim,
+                                  d=int(spec.get("d", 3)),
+                                  rank=int(spec.get("rank", 8)))
+        return shape.num_params() * default_dtype().itemsize
 
     # ------------------------------------------------------------------ #
     # Forward
@@ -157,8 +181,7 @@ class TTEmbeddingBag(Module):
                                        self._core_data())
         return rows[plan.inverse] if plan.inverse is not None else rows
 
-    def forward(self, indices: np.ndarray, offsets: np.ndarray | None = None,
-                per_sample_weights: np.ndarray | None = None) -> np.ndarray:
+    def _forward_impl(self, indices, offsets, per_sample_weights) -> np.ndarray:
         """Pooled lookup. With ``offsets=None`` each index is its own bag."""
         indices = np.asarray(indices, dtype=np.int64)
         if offsets is None:
@@ -182,7 +205,6 @@ class TTEmbeddingBag(Module):
                 "inverse": None, "alpha": alpha,
                 "counts": np.diff(offsets), "lefts": [],
             }
-            self._did_backward = False
             return np.zeros((offsets.size - 1, self.dim), dtype=self.dtype)
 
         # One plan shared with backward: dedup once, pick the schedule,
@@ -214,29 +236,14 @@ class TTEmbeddingBag(Module):
             "counts": counts,
             "lefts": lefts if self.store_intermediates else None,
         }
-        self._did_backward = False
         return out
-
-    __call__ = forward
 
     # ------------------------------------------------------------------ #
     # Backward
     # ------------------------------------------------------------------ #
 
-    def backward(self, grad_out: np.ndarray) -> None:
-        """Accumulate core gradients for the last forward call (Algorithm 2).
-
-        Consumes the forward cache: a second ``backward`` for the same
-        forward would silently double-accumulate gradients, so it raises
-        instead.
-        """
-        if self._cache is None:
-            if self._did_backward:
-                raise RuntimeError(
-                    "backward called twice for one forward; core gradients "
-                    "would double-accumulate — run forward again first"
-                )
-            raise RuntimeError("backward called before forward")
+    def _backward_impl(self, grad_out) -> None:
+        """Accumulate core gradients for the last forward call (Algorithm 2)."""
         c = self._cache
         grad_out = np.asarray(grad_out, dtype=self.dtype)
         counts = c["counts"]
@@ -263,7 +270,6 @@ class TTEmbeddingBag(Module):
                 _, lefts = self._row_chain(decoded)
         self._accumulate_core_grads(decoded, grad_rows, lefts)
         self._cache = None
-        self._did_backward = True
 
     def _accumulate_core_grads(self, decoded: np.ndarray, grad_rows: np.ndarray,
                                lefts: list[np.ndarray]) -> None:
@@ -321,10 +327,3 @@ class TTEmbeddingBag(Module):
             if core.shape != expected:
                 raise ValueError(f"core {k} has shape {core.shape}, expected {expected}")
             self.cores[k].data[...] = core
-
-    def num_parameters(self) -> int:
-        return self.shape.num_params()
-
-    def compression_ratio(self) -> float:
-        """Dense-table params divided by TT params (paper Table 2)."""
-        return self.shape.compression_ratio()

@@ -123,9 +123,7 @@ def _rejection_normal(rng: np.random.Generator, size: int, cutoff: float) -> np.
         raise ValueError(f"cutoff must be >= 0, got {cutoff}")
     if cutoff == 0.0:
         return rng.normal(0.0, 1.0, size=size)
-    from scipy.stats import norm
-
-    accept = 2.0 * norm.sf(cutoff)
+    accept = math.erfc(cutoff / math.sqrt(2.0))  # P(|x| >= cutoff)
     out = np.empty(size, dtype=default_dtype())
     filled = 0
     while filled < size:
@@ -142,10 +140,10 @@ def _truncated_normal_std(cutoff: float) -> float:
     """Std of ``N(0,1)`` conditioned on ``|x| >= cutoff`` (two-sided tail)."""
     if cutoff == 0.0:
         return 1.0
-    from scipy.stats import norm
-
+    sf = 0.5 * math.erfc(cutoff / math.sqrt(2.0))
+    pdf = math.exp(-cutoff * cutoff / 2.0) / math.sqrt(2.0 * math.pi)
     # E[x^2 | |x|>=c] = 1 + c*phi(c)/sf(c) for the symmetric two-sided tail.
-    return math.sqrt(1.0 + cutoff * norm.pdf(cutoff) / norm.sf(cutoff))
+    return math.sqrt(1.0 + cutoff * pdf / sf)
 
 
 def sampled_gaussian_cores(shape: TTShape, *, cutoff: float = 2.0,

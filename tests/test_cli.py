@@ -89,6 +89,13 @@ class TestCommands:
                            for part in line.split() if "=" in part]
         assert strip(first) == strip(resumed)
 
+    @pytest.mark.parametrize("flags", [["--checkpoint-every", "10"],
+                                       ["--resume"],
+                                       ["--elastic", "--checkpoint-every", "5"]])
+    def test_train_checkpoint_flags_need_dir(self, flags, capsys):
+        assert main(["train", "--iters", "1", *flags]) == 2
+        assert "require --checkpoint-dir" in capsys.readouterr().out
+
     def test_chaos_smoke(self, capsys):
         assert main(["chaos", "--iters", "40", "--scale", "0.0002",
                      "--tolerance", "1.0"]) == 0

@@ -6,20 +6,32 @@ import numpy as np
 import pytest
 
 from repro.analysis.static.sanitizer import NumericSanitizer
+from repro.baselines import (
+    HashedEmbeddingBag,
+    QuantizedEmbeddingBag,
+    TREmbeddingBag,
+)
 from repro.baselines.lowrank import LowRankEmbeddingBag
+from repro.cache import CachedTTEmbeddingBag
 from repro.compress import (
     ALPTEmbeddingBag,
     BudgetPlan,
     BudgetPlanner,
+    CompressedEmbedding,
     DPQEmbeddingBag,
     EmbeddingSpec,
     TableStats,
+    compressor_class,
     load_budget_plan,
     make_embedding,
     predict_memory_bytes,
     registered_kinds,
 )
+from repro.models import DLRMConfig, TTConfig, build_ttrec
 from repro.models.ttrec import build_from_plan
+from repro.ops import EmbeddingBag
+from repro.reliability import CheckpointManager
+from repro.tt import TTEmbeddingBag
 from repro.utils.dtypes import dtype_policy
 
 ROWS, DIM = 300, 8
@@ -41,6 +53,63 @@ SPECS = {
 def spec_for(kind, mode="sum", seed=0):
     return EmbeddingSpec(kind=kind, num_rows=ROWS, dim=DIM, mode=mode,
                          seed=seed, params=dict(SPECS[kind]))
+
+
+# ---------------------------------------------------------------------- #
+# The same contract on operators built outside make_embedding: through
+# each keyword constructor, and as the tables of a build_ttrec model.
+# Each builder takes a seed so state_dict round-trips can load one
+# instance's state into a differently initialised twin.
+# ---------------------------------------------------------------------- #
+
+BUILDERS = {
+    "EmbeddingBag": lambda seed: EmbeddingBag(ROWS, DIM, rng=seed),
+    "TTEmbeddingBag": lambda seed: TTEmbeddingBag(ROWS, DIM, rank=4,
+                                                  rng=seed),
+    "CachedTTEmbeddingBag": lambda seed: CachedTTEmbeddingBag(
+        ROWS, DIM, rank=4, cache_size=8, warmup_steps=1, refresh_interval=2,
+        rng=seed),
+    "TREmbeddingBag": lambda seed: TREmbeddingBag(ROWS, DIM, rank=2,
+                                                  rng=seed),
+    "HashedEmbeddingBag": lambda seed: HashedEmbeddingBag(
+        ROWS, DIM, num_buckets=32, signed=True, rng=seed),
+    "LowRankEmbeddingBag": lambda seed: LowRankEmbeddingBag(ROWS, DIM, rank=2,
+                                                            rng=seed),
+    "QuantizedEmbeddingBag": lambda seed: QuantizedEmbeddingBag.from_dense(
+        EmbeddingBag(ROWS, DIM, rng=seed).weight.data, bits=8),
+}
+
+# Every table holds at least ROWS rows, so batch() indexes any of them.
+TTREC_SIZES = (ROWS, 400, 500)
+
+
+def ttrec_model(seed, *, use_cache):
+    cfg = DLRMConfig(table_sizes=TTREC_SIZES, emb_dim=DIM,
+                     bottom_mlp=(16, DIM), top_mlp=(16,))
+    tt = TTConfig(rank=4, use_cache=use_cache, cache_size=8, warmup_steps=1,
+                  refresh_interval=2)
+    return build_ttrec(cfg, num_tt_tables=2, tt=tt, min_rows=100, rng=seed)
+
+
+def _ttrec_builder(table, use_cache):
+    return lambda seed: ttrec_model(seed, use_cache=use_cache).embeddings[table]
+
+
+for _cache in (False, True):
+    for _t in range(len(TTREC_SIZES)):
+        BUILDERS[f"ttrec-{'cached' if _cache else 'tt'}-t{_t}"] = \
+            _ttrec_builder(_t, _cache)
+
+
+def build(source, seed=0):
+    """A zoo kind through make_embedding, or a BUILDERS entry."""
+    if source in SPECS:
+        return make_embedding(spec_for(source, seed=seed))
+    return BUILDERS[source](seed)
+
+
+# The contract properties run on both kinds of source.
+SOURCES = sorted(SPECS) + sorted(BUILDERS)
 
 
 def batch(rng, n=40, bags=5):
@@ -113,11 +182,11 @@ def test_sanitizer_wrapping_passes(kind):
             emb.backward(np.ones_like(out))
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", SOURCES)
 def test_state_dict_roundtrip_bit_exact(kind):
-    emb = make_embedding(spec_for(kind, seed=0))
+    emb = build(kind, seed=0)
     state = emb.state_dict()
-    other = make_embedding(spec_for(kind, seed=7))  # different init
+    other = build(kind, seed=7)  # different init
     other.load_state_dict(state)
     for key, val in other.state_dict().items():
         assert np.array_equal(val, state[key]), key
@@ -139,9 +208,9 @@ def test_load_state_dict_rejects_bad_keys():
         emb.load_state_dict({**state, key: state[key][:-1]})
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", SOURCES)
 def test_double_backward_contract(kind):
-    emb = make_embedding(spec_for(kind))
+    emb = build(kind)
     rng = np.random.default_rng(5)
     indices, offsets = batch(rng)
     grad = np.ones((len(offsets) - 1, DIM))
@@ -161,10 +230,10 @@ def test_double_backward_contract(kind):
     emb.backward(grad)
 
 
-@pytest.mark.parametrize("kind", sorted(SPECS))
+@pytest.mark.parametrize("kind", SOURCES)
 def test_float32_policy_end_to_end(kind):
     with dtype_policy(np.float32):
-        emb = make_embedding(spec_for(kind))
+        emb = build(kind)
         rng = np.random.default_rng(6)
         indices, offsets = batch(rng)
         out = emb.forward(indices, offsets)
@@ -182,6 +251,64 @@ def test_factory_rejects_unknown_kind_and_params():
     with pytest.raises(ValueError, match="unknown params"):
         make_embedding(EmbeddingSpec(kind="tt", num_rows=10, dim=4,
                                      params={"rnak": 4}))
+
+
+def test_every_kind_is_the_operator_itself():
+    operators = {
+        "dense": EmbeddingBag, "tt": TTEmbeddingBag,
+        "cached_tt": CachedTTEmbeddingBag, "tr": TREmbeddingBag,
+        "hash": HashedEmbeddingBag, "lowrank": LowRankEmbeddingBag,
+        "quant": QuantizedEmbeddingBag, "dpq": DPQEmbeddingBag,
+        "alpt": ALPTEmbeddingBag,
+    }
+    for kind, cls in operators.items():
+        assert compressor_class(kind) is cls
+        assert type(make_embedding(spec_for(kind))) is cls
+
+
+def test_ttrec_builders_cover_every_table_kind():
+    kinds = {BUILDERS[name](0).kind for name in BUILDERS
+             if name.startswith("ttrec")}
+    assert kinds == {"dense", "tt", "cached_tt"}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_operator_memory_matches_prediction_from_its_spec(name):
+    emb = BUILDERS[name](0)
+    assert compressor_class(emb.kind) is type(emb)
+    assert emb.spec.kind == emb.kind
+    assert emb.memory_bytes() == predict_memory_bytes(emb.spec)
+
+
+def test_checkpoint_restores_lfu_tracker_through_the_one_hook(tmp_path):
+    model = ttrec_model(0, use_cache=True)
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        dense = rng.normal(size=(4, model.config.num_dense))
+        sparse = [(rng.integers(0, rows, size=8), np.arange(0, 9, 2))
+                  for rows in TTREC_SIZES]
+        logits = model.forward(dense, sparse)
+        model.backward(np.ones_like(logits))
+    cached = [emb for emb in model.embeddings
+              if isinstance(emb, CachedTTEmbeddingBag)]
+    assert cached and all(emb.is_warm for emb in cached)
+    CheckpointManager(tmp_path).save(5, model)
+
+    fresh = ttrec_model(1, use_cache=True)
+    CheckpointManager(tmp_path).restore(fresh)
+    for before, after in zip(model.embeddings, fresh.embeddings):
+        if not isinstance(before, CachedTTEmbeddingBag):
+            continue
+        want, got = before.tracker.state_dict(), after.tracker.state_dict()
+        assert want["keys"].size and want.keys() == got.keys()
+        for key in want:
+            assert np.asarray(want[key]).tobytes() == \
+                np.asarray(got[key]).tobytes(), key
+        # state_dict carries the same hook's output, key for key.
+        extra = {k for k in before.state_dict() if k.startswith("extra:")}
+        assert extra == {f"extra:{k}" for k in before.extra_state()}
+        for key, value in before.state_dict().items():
+            assert np.array_equal(value, after.state_dict()[key]), key
 
 
 # ---------------------------------------------------------------------- #

@@ -131,6 +131,24 @@ class TestDLRMForwardBackward:
         with pytest.raises(ValueError):
             DLRM(config, embeddings=[EmbeddingBag(10, 4, rng=0)], rng=0)
 
+    def test_non_compressed_embedding_rejected(self, config):
+        class Duck:  # forward/backward/lookup, but not a CompressedEmbedding
+            mode = "sum"
+
+            def forward(self, indices, offsets, per_sample_weights=None):
+                return np.zeros((offsets.size - 1, 4))
+
+            def backward(self, grad):
+                pass
+
+            def lookup(self, indices):
+                return np.zeros((indices.size, 4))
+
+        embeddings = [EmbeddingBag(n, 4, rng=0) for n in SIZES]
+        embeddings[2] = Duck()
+        with pytest.raises(TypeError, match="embedding 2 is a Duck"):
+            DLRM(config, embeddings=embeddings, rng=0)
+
     @pytest.mark.parametrize("interaction", ["dot", "cat"])
     def test_full_model_gradients(self, config, interaction):
         """End-to-end gradient check: every parameter of every component."""

@@ -1,11 +1,18 @@
 """Tests for weight initialization (paper §3.2, Algorithm 3, Table 1 math)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.tt import TTShape
 from repro.tt.initialization import (
     CORE_INIT_STRATEGIES,
+    _truncated_normal_std,
     dlrm_default_initializer,
     gaussian_cores,
     gaussian_initializer,
@@ -149,6 +156,27 @@ class TestSampledGaussian:
         b = sampled_gaussian_cores(shape, rng=42)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_truncated_normal_std_matches_scipy_reference(self):
+        # sqrt(1 + c*norm.pdf(c)/norm.sf(c)) at c=2 from scipy.stats.
+        assert _truncated_normal_std(2.0) == pytest.approx(
+            2.397171471890504, rel=1e-14, abs=0)
+
+    def test_model_build_does_not_import_scipy(self):
+        code = (
+            "import sys\n"
+            "from repro.models import DLRMConfig, TTConfig, build_ttrec\n"
+            "cfg = DLRMConfig(table_sizes=(2000, 50), emb_dim=8,\n"
+            "                 bottom_mlp=(8,), top_mlp=(8,))\n"
+            "build_ttrec(cfg, num_tt_tables=1, min_rows=100,\n"
+            "            tt=TTConfig(rank=4, use_cache=True), rng=0)\n"
+            "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestStrategyRegistry:
